@@ -53,7 +53,7 @@ OPTIONS:
                             collection automatically), or exp3[@<eta>].
                             Without --mix the default arm set
                             random:1,pct2:1,pct3:1,burst:1 is used; the
-                            report becomes a c11campaign/v3 epoch trace.
+                            report becomes a c11campaign/v4 epoch trace.
     --epoch <N>             epoch length in executions [default: 64;
                             requires --adaptive]
     --isolate               run executions in child worker processes (fork

@@ -17,12 +17,13 @@
 
 use crate::clock::ClockVector;
 use crate::event::{
-    AccessRef, FenceIdx, FenceRecord, LoadIdx, LoadRecord, MemOrder, ObjId, SeqNum, StoreIdx,
-    StoreKind, StoreRecord, ThreadId,
+    FenceIdx, FenceRecord, LoadIdx, LoadRecord, MemOrder, ObjId, SeqNum, StoreIdx, StoreKind,
+    StoreRecord, ThreadId,
 };
 use crate::location::LocationState;
 use crate::mograph::{MoGraph, NodeId};
 use crate::policy::Policy;
+use crate::priorset::BestsKey;
 use crate::prune::PruneConfig;
 use crate::stats::{AllocStats, ExecStats};
 use c11tester_telemetry::{phase_start, ExecCoverage, Phase, PhaseProfile, TraceEvent, TraceKind};
@@ -119,9 +120,11 @@ pub struct Execution {
     /// Reusable scratch for prior-set computation (taken/returned
     /// around each use; never observed non-empty outside a commit).
     pub(crate) pset_buf: Vec<StoreIdx>,
-    /// Reusable scratch for the hoisted per-thread prior-set bests of
-    /// [`Execution::feasible_read_candidates_into`].
+    /// The per-thread prior-set bests of the last load scan, kept for
+    /// the commit that follows it (see [`Execution::take_bests`]).
     pub(crate) bests_buf: Vec<StoreIdx>,
+    /// What `bests_buf` holds, if it is still valid.
+    pub(crate) bests_key: Option<BestsKey>,
     /// Reusable scratch for the hoisted RMW write prior set.
     pub(crate) wbests_buf: Vec<StoreIdx>,
     /// Committed-event buffer for structured schedule traces. Empty
@@ -176,6 +179,7 @@ impl Execution {
             prune_cfg,
             pset_buf: Vec::new(),
             bests_buf: Vec::new(),
+            bests_key: None,
             wbests_buf: Vec::new(),
             trace_buf: Vec::new(),
             coverage: if c11tester_telemetry::coverage_enabled() {
@@ -217,6 +221,7 @@ impl Execution {
         self.graph.reset();
         self.free_stores.clear();
         self.free_loads.clear();
+        self.bests_key = None;
         self.next_obj = 0;
         self.trace_buf.clear();
         self.coverage.reset(c11tester_telemetry::coverage_enabled());
@@ -235,6 +240,13 @@ impl Execution {
     #[inline]
     pub(crate) fn loc(&self, obj: ObjId) -> Option<&LocationState> {
         self.locations.get(obj.0 as usize)
+    }
+
+    /// The per-thread access histories of a location (the `ALocs`
+    /// lists of Fig. 10), if the location was ever accessed. Read-only:
+    /// for tools and tests that inspect what the load path searches.
+    pub fn location(&self, obj: ObjId) -> Option<&LocationState> {
+        self.loc(obj)
     }
 
     /// Mutable access to a location's history, growing the dense table.
@@ -343,9 +355,7 @@ impl Execution {
         }
         for loc in &self.locations {
             for h in &loc.per_thread {
-                total += h.stores.capacity() * 4
-                    + h.accesses.capacity() * 8
-                    + h.sc_stores.capacity() * 4;
+                total += h.heap_bytes();
             }
         }
         total + self.graph.approx_bytes()
@@ -696,11 +706,8 @@ impl Execution {
 
         let is_sc = order.is_seq_cst() && kind != StoreKind::NonAtomic;
         let loc = self.loc_mut(obj);
-        let h = loc.thread_mut(t.index());
-        h.stores.push(idx);
-        h.accesses.push(AccessRef::Store(idx));
+        loc.thread_mut(t.index()).push_store(idx, seq, is_sc);
         if is_sc {
-            h.sc_stores.push(idx);
             loc.last_sc_store = Some(idx);
         }
         loc.last_store_exec = Some(idx);
@@ -813,14 +820,13 @@ impl Execution {
     /// [`Execution::feasible_read_candidates`] into a caller-provided
     /// buffer (cleared first) — the allocation-free hot path.
     ///
-    /// The candidate-independent halves of the §4.3 check — the
-    /// per-thread `last({S1..S4})` bests of `ReadPriorSet` and, for
-    /// RMWs, the write prior set — depend only on `(t, obj, order)`,
-    /// so they are hoisted out of the per-candidate loop: the former
-    /// O(candidates × threads) history scan becomes O(threads)
-    /// followed by O(|priorset|) clock work per candidate. Verdicts,
-    /// rejection counts, and mo-graph node creation order are
-    /// identical to running the unhoisted checks per candidate.
+    /// One pass over the location's histories builds the may-read-from
+    /// set and the candidate-independent half of `ReadPriorSet` (the
+    /// per-thread `last({S1..S4})` bests); for RMWs the write prior set
+    /// is computed once as well. Each candidate then costs only
+    /// O(|priorset|) Theorem-1 clock work. The bests stay cached for
+    /// the commit of the chosen candidate, which therefore neither
+    /// rescans the histories nor repeats the reachability checks.
     pub fn feasible_read_candidates_into(
         &mut self,
         t: ThreadId,
@@ -830,18 +836,17 @@ impl Execution {
         cands: &mut Vec<StoreIdx>,
     ) {
         let timer = phase_start(Phase::ReadFrom);
-        self.read_candidates_into(t, obj, order, for_rmw, cands);
+        let mut bests = std::mem::take(&mut self.bests_buf);
+        self.scan_load_into(t, obj, order, for_rmw, cands, &mut bests);
+        self.bests_key = Some(BestsKey::new(t, obj, order, self.seq));
         if !cands.is_empty() {
-            let mut bests = std::mem::take(&mut self.bests_buf);
-            self.read_prior_bests_into(t, obj, order, &mut bests);
             let mut wbests = std::mem::take(&mut self.wbests_buf);
             if for_rmw {
                 self.rmw_write_prior_set_into(t, obj, order, &mut wbests);
             }
             let mut pset = std::mem::take(&mut self.pset_buf);
             cands.retain(|&c| {
-                let ok = self.sc_read_allowed(obj, order, c)
-                    && self.read_prior_set_from_bests(&bests, c, &mut pset)
+                let ok = self.read_prior_set_from_bests(&bests, c, &mut pset)
                     && (!for_rmw || self.rmw_store_feasible_from_wpset(&wbests, c));
                 if !ok {
                     self.stats.candidates_rejected += 1;
@@ -850,11 +855,10 @@ impl Execution {
             });
             pset.clear();
             self.pset_buf = pset;
-            bests.clear();
-            self.bests_buf = bests;
             wbests.clear();
             self.wbests_buf = wbests;
         }
+        self.put_bests(bests);
         if let Some(timer) = timer {
             timer.stop(&mut self.stats.phase);
         }
@@ -868,11 +872,11 @@ impl Execution {
     /// Debug builds panic if `cand` is infeasible — callers must check
     /// first (the engine never rolls back, §4.3).
     pub fn commit_load(&mut self, t: ThreadId, obj: ObjId, order: MemOrder, cand: StoreIdx) -> u64 {
-        let seq = self.next_event(t);
+        // The prior set is keyed to the state the feasibility check saw,
+        // so it is assembled before this event's sequence number exists.
         let mut pset = std::mem::take(&mut self.pset_buf);
-        let ok = self.read_prior_set_into(t, obj, order, cand, &mut pset);
-        debug_assert!(ok, "commit_load of an infeasible candidate");
-        let _ = ok;
+        self.commit_prior_set_into(t, obj, order, cand, &mut pset);
+        let seq = self.next_event(t);
         self.add_edges(&pset, cand);
         pset.clear();
         self.pset_buf = pset;
@@ -907,10 +911,7 @@ impl Execution {
                 old: None,
             });
         }
-        self.loc_mut(obj)
-            .thread_mut(t.index())
-            .accesses
-            .push(AccessRef::Load(lidx));
+        self.loc_mut(obj).thread_mut(t.index()).push_load(lidx, seq);
         self.stats.atomic_loads += 1;
         self.threads[t.index()].in_store_run = false;
         self.maybe_prune();
@@ -959,9 +960,7 @@ impl Execution {
                 "commit_rmw: store half would close a cycle"
             );
             let mut pset = std::mem::take(&mut self.pset_buf);
-            let ok = self.read_prior_set_into(t, obj, order, cand, &mut pset);
-            debug_assert!(ok, "commit_rmw of an infeasible candidate");
-            let _ = ok;
+            self.commit_prior_set_into(t, obj, order, cand, &mut pset);
             self.add_edges(&pset, cand);
             pset.clear();
             self.pset_buf = pset;
@@ -1081,7 +1080,7 @@ impl Execution {
             None => Vec::new(),
             Some(loc) => loc
                 .threads()
-                .flat_map(|(_, h)| h.stores.iter().copied())
+                .flat_map(|(_, h)| h.stores.items().iter().copied())
                 .collect(),
         }
     }

@@ -6,18 +6,127 @@
 //! All lists are sorted by sequence number because events are appended
 //! as they execute, which lets the `last(...)` helper functions of
 //! Fig. 12/13 run as binary searches.
+//!
+//! Every list is a [`SeqList`]: the event handles plus their sequence
+//! numbers kept **inline**, in a parallel `u64` array. A `last(...)`
+//! search is then one binary search over contiguous sequence numbers —
+//! it never touches the (much larger) store/load arena records — and
+//! the common "newest entry already qualifies" case is answered in O(1)
+//! without searching. The two arrays change only together (`push`,
+//! `retain`, `clear`), so pruning cannot leave them out of step.
 
-use crate::event::{AccessRef, StoreIdx};
+use crate::event::{AccessRef, LoadIdx, SeqNum, StoreIdx};
+
+/// An append-only history list: event handles in sequence order, with
+/// each handle's sequence number stored inline beside it.
+#[derive(Clone, Debug)]
+pub struct SeqList<T> {
+    items: Vec<T>,
+    seqs: Vec<u64>,
+}
+
+impl<T> Default for SeqList<T> {
+    fn default() -> Self {
+        SeqList {
+            items: Vec::new(),
+            seqs: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy> SeqList<T> {
+    /// Appends `item`, which executed at `seq` (later than every entry).
+    pub fn push(&mut self, item: T, seq: SeqNum) {
+        debug_assert!(
+            self.seqs.last().is_none_or(|&last| last < seq.0),
+            "history entries must be appended in sequence order"
+        );
+        self.items.push(item);
+        self.seqs.push(seq.0);
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// True if the list has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// The handles, in sequence order.
+    pub fn items(&self) -> &[T] {
+        &self.items
+    }
+
+    /// The inline sequence numbers, parallel to [`SeqList::items`].
+    pub fn seqs(&self) -> &[u64] {
+        &self.seqs
+    }
+
+    /// Number of leading entries with sequence number ≤ `bound` — the
+    /// split point every `last(...)` query reduces to. O(1) when the
+    /// newest entry is within the bound (the usual case for a bound
+    /// taken from a clock vector), a binary search otherwise.
+    #[inline]
+    pub fn split(&self, bound: u64) -> usize {
+        match self.seqs.last() {
+            Some(&last) if last > bound => self.seqs.partition_point(|&s| s <= bound),
+            _ => self.seqs.len(),
+        }
+    }
+
+    /// The last entry with sequence number ≤ `bound`, with its sequence
+    /// number.
+    #[inline]
+    pub fn last_at_or_before(&self, bound: u64) -> Option<(T, u64)> {
+        let pos = self.split(bound);
+        (pos > 0).then(|| (self.items[pos - 1], self.seqs[pos - 1]))
+    }
+
+    /// The last entry with sequence number strictly below `bound`.
+    #[inline]
+    pub fn last_before(&self, bound: SeqNum) -> Option<(T, u64)> {
+        self.last_at_or_before(bound.0.saturating_sub(1))
+    }
+
+    /// Keeps only the entries for which `keep` holds, preserving order
+    /// and keeping the inline sequence numbers in step.
+    pub fn retain(&mut self, mut keep: impl FnMut(T) -> bool) {
+        let mut w = 0;
+        for r in 0..self.items.len() {
+            if keep(self.items[r]) {
+                self.items[w] = self.items[r];
+                self.seqs[w] = self.seqs[r];
+                w += 1;
+            }
+        }
+        self.items.truncate(w);
+        self.seqs.truncate(w);
+    }
+
+    /// Empties the list without releasing its storage.
+    pub fn clear(&mut self) {
+        self.items.clear();
+        self.seqs.clear();
+    }
+
+    /// Heap bytes reserved by both arrays.
+    pub fn heap_bytes(&self) -> usize {
+        self.items.capacity() * std::mem::size_of::<T>() + self.seqs.capacity() * 8
+    }
+}
 
 /// History of one thread's accesses to one location.
 #[derive(Clone, Debug, Default)]
 pub struct PerThreadLoc {
     /// `stores(t, a)`: stores and RMWs by this thread, in seq order.
-    pub stores: Vec<StoreIdx>,
+    pub stores: SeqList<StoreIdx>,
     /// `loads_stores(t, a)`: loads, stores, and RMWs, in seq order.
-    pub accesses: Vec<AccessRef>,
+    pub accesses: SeqList<AccessRef>,
     /// `sc_stores(t, a)`: the seq_cst subset of `stores`, in seq order.
-    pub sc_stores: Vec<StoreIdx>,
+    pub sc_stores: SeqList<StoreIdx>,
 }
 
 impl PerThreadLoc {
@@ -26,12 +135,31 @@ impl PerThreadLoc {
         self.accesses.is_empty()
     }
 
+    /// Records a store (or RMW store half) that executed at `seq`.
+    pub fn push_store(&mut self, s: StoreIdx, seq: SeqNum, is_sc: bool) {
+        self.stores.push(s, seq);
+        self.accesses.push(AccessRef::Store(s), seq);
+        if is_sc {
+            self.sc_stores.push(s, seq);
+        }
+    }
+
+    /// Records a load that executed at `seq`.
+    pub fn push_load(&mut self, l: LoadIdx, seq: SeqNum) {
+        self.accesses.push(AccessRef::Load(l), seq);
+    }
+
     /// Empties the history lists without releasing their storage
     /// (execution-state recycling).
     fn reset(&mut self) {
         self.stores.clear();
         self.accesses.clear();
         self.sc_stores.clear();
+    }
+
+    /// Heap bytes reserved by the three lists.
+    pub fn heap_bytes(&self) -> usize {
+        self.stores.heap_bytes() + self.accesses.heap_bytes() + self.sc_stores.heap_bytes()
     }
 }
 
@@ -102,12 +230,11 @@ impl LocationState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::LoadIdx;
 
     #[test]
     fn thread_table_grows_on_demand() {
         let mut loc = LocationState::default();
-        loc.thread_mut(3).stores.push(StoreIdx(0));
+        loc.thread_mut(3).push_store(StoreIdx(0), SeqNum(2), false);
         assert_eq!(loc.per_thread.len(), 4);
         assert!(loc.thread(0).is_some());
         assert!(loc.thread(0).expect("slot 0 exists").is_empty());
@@ -118,8 +245,37 @@ mod tests {
     #[test]
     fn threads_iter_skips_idle_threads() {
         let mut loc = LocationState::default();
-        loc.thread_mut(2).accesses.push(AccessRef::Load(LoadIdx(0)));
+        loc.thread_mut(2).push_load(LoadIdx(0), SeqNum(2));
         let active: Vec<usize> = loc.threads().map(|(ix, _)| ix).collect();
         assert_eq!(active, vec![2]);
+    }
+
+    /// `split` agrees with a linear scan on both sides of its O(1)
+    /// fast path.
+    #[test]
+    fn split_matches_a_linear_scan() {
+        let mut l = SeqList::default();
+        for (i, seq) in [3u64, 5, 9, 10, 14].into_iter().enumerate() {
+            l.push(StoreIdx(i as u32), SeqNum(seq));
+        }
+        for bound in 0..20 {
+            let want = l.seqs().iter().filter(|&&s| s <= bound).count();
+            assert_eq!(l.split(bound), want, "bound {bound}");
+        }
+        assert_eq!(l.last_at_or_before(9), Some((StoreIdx(2), 9)));
+        assert_eq!(l.last_before(SeqNum(9)), Some((StoreIdx(1), 5)));
+        assert_eq!(l.last_before(SeqNum(3)), None);
+    }
+
+    /// `retain` keeps handles and inline sequence numbers in step.
+    #[test]
+    fn retain_keeps_seqs_in_step() {
+        let mut l = SeqList::default();
+        for i in 0..6u32 {
+            l.push(StoreIdx(i), SeqNum(u64::from(i) * 2 + 1));
+        }
+        l.retain(|s| s.0 % 2 == 0);
+        assert_eq!(l.items(), &[StoreIdx(0), StoreIdx(2), StoreIdx(4)]);
+        assert_eq!(l.seqs(), &[1, 5, 9]);
     }
 }

@@ -17,25 +17,39 @@ use crate::event::{AccessRef, FenceIdx, MemOrder, ObjId, SeqNum, StoreIdx, Threa
 use crate::exec::Execution;
 use crate::location::PerThreadLoc;
 
+/// What the cached prior-set bests were computed for: the loading
+/// thread, the location, whether the load is seq_cst (the only way the
+/// order enters), and the global sequence number at the time — every
+/// committed event advances it, so a match means nothing committed in
+/// between. Pruning rewrites histories without committing an event, so
+/// it drops the key explicitly.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) struct BestsKey {
+    t: ThreadId,
+    obj: ObjId,
+    is_sc: bool,
+    seq: u64,
+}
+
+impl BestsKey {
+    pub(crate) fn new(t: ThreadId, obj: ObjId, order: MemOrder, seq: u64) -> Self {
+        BestsKey {
+            t,
+            obj,
+            is_sc: order.is_seq_cst(),
+            seq,
+        }
+    }
+}
+
 impl Execution {
     /// `last_sc_fence(t)`.
-    fn last_sc_fence(&self, t: usize) -> Option<FenceIdx> {
+    pub(crate) fn last_sc_fence(&self, t: usize) -> Option<FenceIdx> {
         self.threads.get(t)?.sc_fences.last().copied()
     }
 
-    fn fence_seq(&self, f: FenceIdx) -> SeqNum {
+    pub(crate) fn fence_seq(&self, f: FenceIdx) -> SeqNum {
         self.fences[f.index()].seq
-    }
-
-    fn store_seq(&self, s: StoreIdx) -> SeqNum {
-        self.stores[s.index()].seq
-    }
-
-    fn access_seq(&self, a: AccessRef) -> SeqNum {
-        match a {
-            AccessRef::Store(s) => self.stores[s.index()].seq,
-            AccessRef::Load(l) => self.loads[l.index()].seq,
-        }
     }
 
     /// `get_write(A)`: a store maps to itself, a load to the store it
@@ -49,32 +63,11 @@ impl Execution {
 
     /// `last({F ∈ sc_fences(u) | F sc→ bound})`: the SC order coincides
     /// with execution order, so this is a partition by sequence number.
-    fn last_sc_fence_before(&self, u: usize, bound: SeqNum) -> Option<FenceIdx> {
+    pub(crate) fn last_sc_fence_before(&self, u: usize, bound: SeqNum) -> Option<FenceIdx> {
         let fences = &self.threads.get(u)?.sc_fences;
         let pos = fences.partition_point(|&f| self.fences[f.index()].seq < bound);
         if pos > 0 {
             Some(fences[pos - 1])
-        } else {
-            None
-        }
-    }
-
-    /// Last store in `list` with sequence number strictly below `bound`.
-    fn last_store_before(&self, list: &[StoreIdx], bound: SeqNum) -> Option<StoreIdx> {
-        let pos = list.partition_point(|&s| self.store_seq(s) < bound);
-        if pos > 0 {
-            Some(list[pos - 1])
-        } else {
-            None
-        }
-    }
-
-    /// Last access in `list` with sequence number ≤ `bound` (used for
-    /// the `X hb→ ·` term, where the bound is a clock-vector slot).
-    fn last_access_at_or_before(&self, list: &[AccessRef], bound: u64) -> Option<AccessRef> {
-        let pos = list.partition_point(|&a| self.access_seq(a).0 <= bound);
-        if pos > 0 {
-            Some(list[pos - 1])
         } else {
             None
         }
@@ -91,7 +84,7 @@ impl Execution {
     /// * `f_b` — last sc fence of `u` sc-before `f_op` (for S3);
     /// * `hb_bound` — the operating thread's clock slot for `u` (S4).
     #[allow(clippy::too_many_arguments)]
-    fn prior_for_thread(
+    pub(crate) fn prior_for_thread(
         &self,
         h: &PerThreadLoc,
         is_sc_op: bool,
@@ -100,43 +93,41 @@ impl Execution {
         f_b: Option<FenceIdx>,
         hb_bound: u64,
     ) -> Option<StoreIdx> {
-        let mut best: Option<(SeqNum, AccessRef)> = None;
-        let consider_store =
-            |this: &Self, s: Option<StoreIdx>, best: &mut Option<(SeqNum, AccessRef)>| {
-                if let Some(s) = s {
-                    let seq = this.store_seq(s);
-                    if best.is_none_or(|(b, _)| seq > b) {
-                        *best = Some((seq, AccessRef::Store(s)));
-                    }
+        // S4: last access that happens-before the operation — the
+        // write-read / read-read coherence term.
+        let s4 = h.accesses.last_at_or_before(hb_bound);
+        // Fast path: when the thread's newest access is already
+        // hb-known it is the latest entry of every list here, so no
+        // S1–S3 store can beat it.
+        if let Some((a, seq)) = s4 {
+            if h.accesses.seqs().last() == Some(&seq) {
+                return Some(self.get_write(a));
+            }
+        }
+        let mut best = s4.map(|(a, seq)| (seq, a));
+        let mut consider = |hit: Option<(StoreIdx, u64)>| {
+            if let Some((s, seq)) = hit {
+                if best.is_none_or(|(b, _)| seq > b) {
+                    best = Some((seq, AccessRef::Store(s)));
                 }
-            };
+            }
+        };
         // S1: last store sb-before u's own last sc fence (only when the
         // operation is seq_cst). C++11 §29.3p4.
         if is_sc_op {
             if let Some(ft) = f_t {
-                let s1 = self.last_store_before(&h.stores, self.fence_seq(ft));
-                consider_store(self, s1, &mut best);
+                consider(h.stores.last_before(self.fence_seq(ft)));
             }
         }
         // S2: last seq_cst store sc-before the operating thread's last
         // sc fence. §29.3p5.
         if let Some(fl) = f_op {
-            let s2 = self.last_store_before(&h.sc_stores, self.fence_seq(fl));
-            consider_store(self, s2, &mut best);
+            consider(h.sc_stores.last_before(self.fence_seq(fl)));
         }
         // S3: last store sb-before u's last sc fence that is itself
         // sc-before the operating thread's last sc fence. §29.3p6.
         if let Some(fb) = f_b {
-            let s3 = self.last_store_before(&h.stores, self.fence_seq(fb));
-            consider_store(self, s3, &mut best);
-        }
-        // S4: last access that happens-before the operation — the
-        // write-read / read-read coherence term.
-        if let Some(a) = self.last_access_at_or_before(&h.accesses, hb_bound) {
-            let seq = self.access_seq(a);
-            if best.is_none_or(|(b, _)| seq > b) {
-                best = Some((seq, a));
-            }
+            consider(h.stores.last_before(self.fence_seq(fb)));
         }
         best.map(|(_, a)| self.get_write(a))
     }
@@ -179,35 +170,31 @@ impl Execution {
         }
     }
 
-    /// The candidate-independent half of `ReadPriorSet`: computes the
+    /// The candidate-independent half of `ReadPriorSet`: the
     /// per-thread `last({S1, S2, S3, S4})` bests (mapped through
-    /// `get_write`) for a load by `t` at `obj`. The result depends only
-    /// on `(t, obj, order)` — never on the read-from candidate — so
-    /// [`Execution::feasible_read_candidates_into`] hoists it out of
-    /// the per-candidate loop. Bests are pushed in history order,
-    /// duplicates included; [`Execution::read_prior_set_from_bests`]
-    /// applies the per-candidate filtering.
-    pub(crate) fn read_prior_bests_into(
-        &self,
-        t: ThreadId,
-        obj: ObjId,
-        order: MemOrder,
-        bests: &mut Vec<StoreIdx>,
-    ) {
-        bests.clear();
-        let is_sc_load = order.is_seq_cst();
-        let f_l = self.last_sc_fence(t.index());
-        let f_l_seq = f_l.map(|f| self.fence_seq(f));
-        if let Some(loc) = self.loc(obj) {
-            for (uix, h) in loc.threads() {
-                let f_t = self.last_sc_fence(uix);
-                let f_b = f_l_seq.and_then(|b| self.last_sc_fence_before(uix, b));
-                let hb_bound = self.threads[t.index()].cv.get(ThreadId::from_index(uix));
-                if let Some(a) = self.prior_for_thread(h, is_sc_load, f_t, f_l, f_b, hb_bound) {
-                    bests.push(a);
-                }
-            }
+    /// `get_write`) for a load by `t` at `obj`, taken out of
+    /// [`Execution::bests_buf`] — hand them back with
+    /// [`Execution::put_bests`]. The bests depend only on `(t, obj,
+    /// order)` and the committed state, so the ones the last load scan
+    /// ([`Execution::scan_load_into`]) computed are reused when the key
+    /// matches and no event committed since; otherwise they are
+    /// recomputed. Bests are in history order, duplicates included;
+    /// [`Execution::read_prior_set_from_bests`] applies the
+    /// per-candidate filtering.
+    pub(crate) fn take_bests(&mut self, t: ThreadId, obj: ObjId, order: MemOrder) -> Vec<StoreIdx> {
+        let key = BestsKey::new(t, obj, order, self.seq);
+        let mut bests = std::mem::take(&mut self.bests_buf);
+        if self.bests_key != Some(key) {
+            self.scan_load_into(t, obj, order, false, &mut Vec::new(), &mut bests);
+            self.bests_key = Some(key);
         }
+        bests
+    }
+
+    /// Returns the buffer [`Execution::take_bests`] handed out, keeping
+    /// its contents for reuse under the recorded key.
+    pub(crate) fn put_bests(&mut self, bests: Vec<StoreIdx>) {
+        self.bests_buf = bests;
     }
 
     /// The candidate-dependent half of `ReadPriorSet` plus the §4.3
@@ -265,12 +252,44 @@ impl Execution {
         cand: StoreIdx,
         priorset: &mut Vec<StoreIdx>,
     ) -> bool {
-        let mut bests = std::mem::take(&mut self.bests_buf);
-        self.read_prior_bests_into(t, obj, order, &mut bests);
+        let bests = self.take_bests(t, obj, order);
         let ok = self.read_prior_set_from_bests(&bests, cand, priorset);
-        bests.clear();
-        self.bests_buf = bests;
+        self.put_bests(bests);
         ok
+    }
+
+    /// The prior set a committing load (or RMW load half) adds edges
+    /// from. The candidate was already proven feasible — by
+    /// [`Execution::feasible_read_candidates_into`] or
+    /// [`Execution::check_read_feasible`] for the same `(t, obj,
+    /// order)` with nothing committed since — so the bests are reused
+    /// and the Theorem-1 reachability checks are not repeated. Debug
+    /// builds recompute the prior set from scratch and assert that the
+    /// candidate is feasible and the sets agree.
+    pub(crate) fn commit_prior_set_into(
+        &mut self,
+        t: ThreadId,
+        obj: ObjId,
+        order: MemOrder,
+        cand: StoreIdx,
+        priorset: &mut Vec<StoreIdx>,
+    ) {
+        let bests = self.take_bests(t, obj, order);
+        priorset.clear();
+        for &a in &bests {
+            if a != cand && !priorset.contains(&a) {
+                priorset.push(a);
+            }
+        }
+        self.put_bests(bests);
+        if cfg!(debug_assertions) {
+            let mut fresh = Vec::new();
+            self.scan_load_into(t, obj, order, false, &mut Vec::new(), &mut fresh);
+            let mut expected = Vec::new();
+            let ok = self.read_prior_set_from_bests(&fresh, cand, &mut expected);
+            debug_assert!(ok, "commit of an infeasible read-from candidate");
+            debug_assert_eq!(*priorset, expected, "reused prior set is stale");
+        }
     }
 
     /// Additional feasibility for RMWs (§4.3 "Atomic RMWs"): the RMW's

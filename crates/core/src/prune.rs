@@ -206,6 +206,8 @@ impl Execution {
             return;
         };
         self.stats.prune_passes += 1;
+        // Pruning rewrites histories without committing an event.
+        self.bests_key = None;
         let cutoff = if aggressive {
             self.seq.saturating_sub(self.prune_cfg.window)
         } else {
@@ -223,19 +225,9 @@ impl Execution {
                 let loc = &self.locations[obj_ix];
                 for (uix, h) in loc.threads() {
                     let bound = cv_min.get(ThreadId::from_index(uix));
-                    let pos = h
-                        .stores
-                        .partition_point(|&s| self.stores[s.index()].seq.0 <= bound);
-                    if pos > 0 {
-                        anchors.push(h.stores[pos - 1]);
-                    }
+                    anchors.extend(h.stores.last_at_or_before(bound).map(|(s, _)| s));
                     if aggressive && cutoff > 0 {
-                        let pos2 = h
-                            .stores
-                            .partition_point(|&s| self.stores[s.index()].seq.0 <= cutoff);
-                        if pos2 > 0 {
-                            anchors.push(h.stores[pos2 - 1]);
-                        }
+                        anchors.extend(h.stores.last_at_or_before(cutoff).map(|(s, _)| s));
                     }
                 }
             }
@@ -250,7 +242,7 @@ impl Execution {
             {
                 let loc = &self.locations[obj_ix];
                 for (_, h) in loc.threads() {
-                    for &s in &h.stores {
+                    for &s in h.stores.items() {
                         if anchors.contains(&s)
                             || loc.last_sc_store == Some(s)
                             || loc.last_store_exec == Some(s)
@@ -277,9 +269,9 @@ impl Execution {
                 } = self;
                 let loc = &mut locations[obj_ix];
                 for h in &mut loc.per_thread {
-                    h.stores.retain(|s| !doom_set.contains(s));
-                    h.sc_stores.retain(|s| !doom_set.contains(s));
-                    h.accesses.retain(|a| match *a {
+                    h.stores.retain(|s| !doom_set.contains(&s));
+                    h.sc_stores.retain(|s| !doom_set.contains(&s));
+                    h.accesses.retain(|a| match a {
                         AccessRef::Store(s) => !doom_set.contains(&s),
                         AccessRef::Load(l) => {
                             let keep = !doom_set.contains(&loads[l.index()].rf);

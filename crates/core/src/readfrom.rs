@@ -38,8 +38,7 @@ impl Execution {
     }
 
     /// [`Execution::read_candidates`] into a caller-provided buffer
-    /// (cleared first) — the allocation-free hot path; the engine
-    /// threads one reusable buffer through every load.
+    /// (cleared first).
     pub fn read_candidates_into(
         &self,
         t: ThreadId,
@@ -48,29 +47,57 @@ impl Execution {
         for_rmw: bool,
         ret: &mut Vec<StoreIdx>,
     ) {
-        ret.clear();
+        self.scan_load_into(t, obj, order, for_rmw, ret, &mut Vec::new());
+    }
+
+    /// The load scan: **one** pass over `obj`'s per-thread histories
+    /// that fills `cands` (cleared first) with the may-read-from set —
+    /// the seq_cst and RMW-atomicity filters applied inline — and
+    /// `bests` (cleared first) with the candidate-independent half of
+    /// `ReadPriorSet` (Fig. 13): each thread's `last({S1..S4})`, see
+    /// [`Execution::prior_for_thread`]. Both halves split the same
+    /// histories at the same clock slot, so fusing them reads each
+    /// history once.
+    pub(crate) fn scan_load_into(
+        &self,
+        t: ThreadId,
+        obj: ObjId,
+        order: MemOrder,
+        for_rmw: bool,
+        cands: &mut Vec<StoreIdx>,
+        bests: &mut Vec<StoreIdx>,
+    ) {
+        cands.clear();
+        bests.clear();
         let Some(loc) = self.loc(obj) else {
             return;
         };
         let ct = &self.threads[t.index()].cv;
+        let is_sc = order.is_seq_cst();
+        let sc_anchor = if is_sc { loc.last_sc_store } else { None };
+        let readable = |x: StoreIdx| {
+            !(for_rmw && self.stores[x.index()].rmw_read_by.is_some())
+                && sc_anchor.is_none_or(|anchor| self.sc_anchor_allows(anchor, x))
+        };
+        let f_l = self.last_sc_fence(t.index());
+        let f_l_seq = f_l.map(|f| self.fence_seq(f));
         for (uix, h) in loc.threads() {
-            let bound = ct.get(ThreadId::from_index(uix));
-            // Stores are in seq order: split into "already known to the
-            // loader" (hb-before) and "unseen".
-            let pos = h
-                .stores
-                .partition_point(|&s| self.stores[s.index()].seq.0 <= bound);
-            if pos > 0 {
-                // The newest hb-known store per thread stays readable.
-                ret.push(h.stores[pos - 1]);
+            let hb_bound = ct.get(ThreadId::from_index(uix));
+            // Stores are in seq order: everything past the split is
+            // unseen by the loader; of the hb-known prefix only the
+            // newest stays readable.
+            let first = h.stores.split(hb_bound).saturating_sub(1);
+            cands.extend(
+                h.stores.items()[first..]
+                    .iter()
+                    .copied()
+                    .filter(|&x| readable(x)),
+            );
+            let f_t = self.last_sc_fence(uix);
+            let f_b = f_l_seq.and_then(|b| self.last_sc_fence_before(uix, b));
+            if let Some(a) = self.prior_for_thread(h, is_sc, f_t, f_l, f_b, hb_bound) {
+                bests.push(a);
             }
-            ret.extend_from_slice(&h.stores[pos..]);
-        }
-        if order.is_seq_cst() {
-            ret.retain(|&x| self.sc_read_allowed(obj, order, x));
-        }
-        if for_rmw {
-            ret.retain(|&x| self.stores[x.index()].rmw_read_by.is_none());
         }
     }
 
@@ -79,19 +106,24 @@ impl Execution {
     /// store at `obj` (C++11 §29.3p3)? Non-seq_cst orders are
     /// unconstrained.
     ///
-    /// This is both the filter [`Execution::read_candidates_into`]
-    /// applies to the whole candidate set and part of
-    /// [`Execution::check_read_feasible`] — the latter matters for
-    /// failed compare-exchanges, whose candidate was selected under
+    /// [`Execution::scan_load_into`] applies the same filter to the
+    /// whole candidate set; [`Execution::check_read_feasible`] needs it
+    /// for failed compare-exchanges, whose candidate was selected under
     /// the *success* ordering and must be re-vetted under the failure
     /// ordering.
     pub(crate) fn sc_read_allowed(&self, obj: ObjId, order: MemOrder, cand: StoreIdx) -> bool {
         if !order.is_seq_cst() {
             return true;
         }
-        let Some(anchor) = self.loc(obj).and_then(|l| l.last_sc_store) else {
-            return true;
-        };
+        self.loc(obj)
+            .and_then(|l| l.last_sc_store)
+            .is_none_or(|anchor| self.sc_anchor_allows(anchor, cand))
+    }
+
+    /// May a seq_cst load read `cand` when `anchor` is the location's
+    /// last seq_cst store? Not if `cand` precedes the anchor in the SC
+    /// order or happens-before it.
+    fn sc_anchor_allows(&self, anchor: StoreIdx, cand: StoreIdx) -> bool {
         if cand == anchor {
             return true;
         }

@@ -11,7 +11,9 @@
 //! * per-thread read-read coherence over the lifted execution;
 //! * the restricted tsan11 fragment only produces a *subset* of the
 //!   full fragment's feasible reads;
-//! * conservative pruning never changes feasible read sets.
+//! * conservative pruning never changes feasible read sets;
+//! * every history list's inline sequence numbers match the arena
+//!   records they index, under every pruning mode.
 //!
 //! The harness generates its cases with the workspace's deterministic
 //! `rand` shim (the offline environment has no proptest): each property
@@ -19,7 +21,7 @@
 //! reproduce exactly by seed.
 
 use c11tester_core::{
-    Execution, MemOrder, ObjId, Policy, PruneConfig, StoreIdx, StoreKind, ThreadId,
+    AccessRef, Execution, MemOrder, ObjId, Policy, PruneConfig, StoreIdx, StoreKind, ThreadId,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -113,11 +115,13 @@ fn for_random_programs(name: &str, max_len: usize, mut property: impl FnMut(&[Op
 }
 
 /// Replays `ops` on an execution, recording `(thread, obj, store)` for
-/// every committed read. Returns the execution and the read log.
+/// every committed read and calling `after_op` after every operation.
+/// Returns the execution and the read log.
 fn replay(
     policy: Policy,
     prune: PruneConfig,
     ops: &[Op],
+    mut after_op: impl FnMut(&Execution, &[ObjId]),
 ) -> (Execution, Vec<(ThreadId, ObjId, StoreIdx)>) {
     let mut e = Execution::with_pruning(policy, prune);
     let mut threads = vec![ThreadId::MAIN];
@@ -172,6 +176,7 @@ fn replay(
                 }
             }
         }
+        after_op(&e, &objs);
     }
     (e, reads)
 }
@@ -180,7 +185,7 @@ fn replay(
 #[test]
 fn mograph_acyclic_and_theorem1() {
     for_random_programs("mograph_acyclic_and_theorem1", 40, |ops| {
-        let (e, _) = replay(Policy::C11Tester, PruneConfig::disabled(), ops);
+        let (e, _) = replay(Policy::C11Tester, PruneConfig::disabled(), ops, |_, _| {});
         let g = e.mograph();
         assert!(!g.has_cycle_slow(), "mo-graph acquired a cycle");
         // Theorem 1 on every same-location node pair.
@@ -208,7 +213,7 @@ fn mograph_acyclic_and_theorem1() {
 #[test]
 fn reads_only_from_the_past() {
     for_random_programs("reads_only_from_the_past", 40, |ops| {
-        let (e, reads) = replay(Policy::C11Tester, PruneConfig::disabled(), ops);
+        let (e, reads) = replay(Policy::C11Tester, PruneConfig::disabled(), ops, |_, _| {});
         for &(_, _, s) in &reads {
             assert!(e.store(s).seq <= e.now());
         }
@@ -220,7 +225,7 @@ fn reads_only_from_the_past() {
 #[test]
 fn read_read_coherence() {
     for_random_programs("read_read_coherence", 40, |ops| {
-        let (mut e, reads) = replay(Policy::C11Tester, PruneConfig::disabled(), ops);
+        let (mut e, reads) = replay(Policy::C11Tester, PruneConfig::disabled(), ops, |_, _| {});
         for t_ix in 0..4 {
             let t = ThreadId::from_index(t_ix);
             for obj_ix in 0..3 {
@@ -438,5 +443,89 @@ fn conservative_pruning_is_invisible() {
                 }
             }
         }
+    });
+}
+
+/// Asserts that every history list of every location holds, inline,
+/// exactly the sequence numbers of the arena records it indexes, in
+/// strictly increasing order, and indexes only live records.
+fn assert_histories_in_step(e: &Execution, objs: &[ObjId]) {
+    for &obj in objs {
+        let Some(loc) = e.location(obj) else {
+            continue;
+        };
+        for (uix, h) in loc.threads() {
+            for list in [&h.stores, &h.sc_stores] {
+                assert_eq!(list.items().len(), list.seqs().len());
+                for (&s, &seq) in list.items().iter().zip(list.seqs()) {
+                    let r = e.store(s);
+                    assert!(!r.pruned, "history indexes a pruned store");
+                    assert_eq!(r.seq.0, seq, "stale inline seq for {s:?}");
+                    assert_eq!(r.tid.index(), uix, "store filed under the wrong thread");
+                }
+            }
+            assert_eq!(h.accesses.items().len(), h.accesses.seqs().len());
+            for (&a, &seq) in h.accesses.items().iter().zip(h.accesses.seqs()) {
+                let arena = match a {
+                    AccessRef::Store(s) => e.store(s).seq,
+                    AccessRef::Load(l) => {
+                        assert!(!e.load(l).pruned, "history indexes a pruned load");
+                        e.load(l).seq
+                    }
+                };
+                assert_eq!(arena.0, seq, "stale inline seq for {a:?}");
+            }
+            for list in [h.stores.seqs(), h.sc_stores.seqs(), h.accesses.seqs()] {
+                assert!(list.windows(2).all(|w| w[0] < w[1]), "seqs out of order");
+            }
+        }
+    }
+}
+
+/// The inline sequence numbers of the per-thread histories stay equal
+/// to the arena records' after every operation — with pruning
+/// disabled, conservative, aggressive, and memory-limited (windowed
+/// pruning plus arena compaction), where pruning rewrites the lists and
+/// recycles arena slots.
+#[test]
+fn history_seqs_match_arena_records() {
+    let configs = [
+        PruneConfig::disabled(),
+        PruneConfig::conservative(4),
+        PruneConfig::aggressive(4, 8),
+        PruneConfig::memory_limited(2),
+    ];
+    let mut pruned = 0u64;
+    let mut compactions = 0u64;
+    for cfg in configs {
+        for_random_programs("history_seqs_match_arena_records", 160, |ops| {
+            let (e, _) = replay(Policy::C11Tester, cfg, ops, assert_histories_in_step);
+            pruned += e.stats().pruned_stores;
+            compactions += e.mograph().perf_stats().compactions;
+        });
+    }
+    assert!(pruned > 0, "no case exercised pruning");
+    assert!(compactions > 0, "no case exercised arena compaction");
+}
+
+/// Known defect, kept as a reproducer: aggressive pruning with a trace
+/// window of a few events can retire the only live-edge path between
+/// two surviving stores. Their clock vectors still say one reaches the
+/// other, but a later bounded reorder may then place them in the
+/// opposite topological order, so the order gate of
+/// `MoGraph::reaches` and Theorem 1 disagree (a debug assertion in
+/// this build; a wrong "unreachable" answer in release). Windows of 8
+/// events and more — `--memory-limit` uses 512 — did not trigger it
+/// over these programs.
+#[test]
+#[ignore = "known defect: tiny aggressive-pruning windows desynchronize the mo-graph order gate"]
+fn tiny_window_aggressive_pruning_keeps_the_order_gate_exact() {
+    for_random_programs("tiny_window_aggressive_pruning", 160, |ops| {
+        replay(
+            Policy::C11Tester,
+            PruneConfig::aggressive(2, 4),
+            ops,
+            |_, _| {},
+        );
     });
 }

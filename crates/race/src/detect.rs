@@ -17,6 +17,14 @@ use crate::shadow::{Epoch, PackedShadow, ShadowWord};
 use c11tester_core::{ClockVector, ObjId, ThreadId};
 use std::collections::HashSet;
 
+/// Whether `C11TESTER_RACE_DEBUG` asks for race-check diagnostics on
+/// stderr. Consulted on racy reads and report emission, so the
+/// environment lookup (which takes a process-wide lock) is cached.
+fn race_debug() -> bool {
+    static DEBUG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *DEBUG.get_or_init(|| std::env::var_os("C11TESTER_RACE_DEBUG").is_some())
+}
+
 /// Expanded access record: full read vectors split by atomicity.
 #[derive(Clone, Debug, Default)]
 struct Expanded {
@@ -187,7 +195,7 @@ impl RaceDetector {
         }) {
             return;
         }
-        if std::env::var_os("C11TESTER_RACE_DEBUG").is_some() {
+        if race_debug() {
             eprintln!(
                 "RACE DEBUG: {label} kind={kind:?} current={current:?} ({current_kind:?}) prior_tid={prior_tid:?} prior_atomic={prior_atomic}"
             );
@@ -254,7 +262,7 @@ impl RaceDetector {
                 if p.write_clock > 0 {
                     let wt = ThreadId::from_index(p.write_tid as usize);
                     if wt != tid && p.write_clock > cv.get(wt) && (!atomic || !p.write_atomic) {
-                        if std::env::var_os("C11TESTER_RACE_DEBUG").is_some() {
+                        if race_debug() {
                             eprintln!(
                                 "  read-check: wclock={} cv[wt]={} reader cv={cv:?}",
                                 p.write_clock,
