@@ -59,7 +59,9 @@ pub use reweight::{parse_policy, CoverageUcb, ExpWeights, Fixed, ReweightCtx, Re
 
 use c11tester::{Config, CoverageMap, ExecutionReport, Model, StrategyMix, TestReport};
 use c11tester_campaign::targets::Target;
-use c11tester_campaign::{Campaign, CampaignBudget, EpochRecord, EpochTrace, Executor, StopReason};
+use c11tester_campaign::{
+    default_workers, Campaign, CampaignBudget, EpochRecord, EpochTrace, Executor, StopReason,
+};
 use c11tester_telemetry::{CampaignMetrics, EpochMetric};
 use std::time::{Duration, Instant};
 
@@ -80,25 +82,22 @@ pub struct AdaptiveCampaign {
 }
 
 impl AdaptiveCampaign {
-    /// Creates an adaptive campaign over `config`, defaulting to one
-    /// worker per CPU, [`DEFAULT_EPOCH_LEN`]-execution epochs, and the
-    /// [`Fixed`] (no-op) policy. The arms are the entries of
-    /// `config.mix`; a config without a mix gets the single-arm mix of
-    /// its fixed strategy (reweighting is then a no-op by
-    /// construction).
+    /// Creates an adaptive campaign over `config`, defaulting to
+    /// [`default_workers`] workers, [`DEFAULT_EPOCH_LEN`]-execution
+    /// epochs, and the [`Fixed`] (no-op) policy. The arms are the
+    /// entries of `config.mix`; a config without a mix gets the
+    /// single-arm mix of its fixed strategy (reweighting is then a
+    /// no-op by construction).
     pub fn new(mut config: Config) -> Self {
         let initial_mix = match &config.mix {
             Some(mix) => mix.clone(),
             None => StrategyMix::single(config.strategy),
         };
         config = config.with_mix(initial_mix.clone());
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         AdaptiveCampaign {
             config,
             initial_mix,
-            workers,
+            workers: default_workers(),
             epoch_len: DEFAULT_EPOCH_LEN,
             policy: Box::new(Fixed),
         }

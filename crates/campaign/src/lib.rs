@@ -14,10 +14,11 @@
 //!   random stream from `(seed, index)` alone, so **any single
 //!   execution is reproducible by `(seed, execution_index)` regardless
 //!   of worker count** (replay with [`Model::run_at`]);
-//! * workers stream [`ExecutionReport`]s through a channel into an
-//!   aggregator that merges race dedup histories
-//!   ([`c11tester_race::DedupHistory`]), sums
-//!   [`c11tester_core::ExecStats`], and computes detection rates;
+//! * each worker absorbs its own [`c11tester::ExecutionReport`]s into
+//!   a local [`TestReport`] (race dedup histories
+//!   [`c11tester_race::DedupHistory`], summed
+//!   [`c11tester_core::ExecStats`], detection counts), and the calling
+//!   thread — itself shard 0 — merges the shards once, after `join`;
 //! * the resulting [`CampaignReport`] is **byte-identical for any
 //!   worker count** (over a fixed budget), and equal to the serial
 //!   [`Model::run_many`] aggregate — parallelism is a pure speedup,
@@ -77,10 +78,10 @@ pub use epoch::{EpochRecord, EpochTrace};
 pub use exec::{CrashKind, CrashRecord, Executor, InProcess, RangeOutcome};
 pub use forensics::{CaptureSink, ForensicsSummary, Witness};
 
-use c11tester::{Config, ExecutionReport, Model, TestReport};
+use c11tester::{Config, Model, TestReport};
 use c11tester_telemetry::{CampaignMetrics, WorkerMetrics};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Resource bounds for one campaign.
@@ -281,6 +282,14 @@ impl std::fmt::Display for CampaignReport {
     }
 }
 
+/// The default worker count: one per available CPU. The probe reads
+/// cgroup files on Linux, so it runs once per process, not once per
+/// (per-epoch) campaign.
+pub fn default_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// A parallel exploration campaign over one configuration.
 ///
 /// See the [crate docs](crate) for the determinism contract.
@@ -291,12 +300,10 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// Creates a campaign over `config`, defaulting to one worker per
-    /// available CPU.
+    /// Creates a campaign over `config`, defaulting to
+    /// [`default_workers`] workers.
     pub fn new(config: Config) -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let workers = default_workers();
         Campaign { config, workers }
     }
 
@@ -323,7 +330,7 @@ impl Campaign {
 
     /// Runs the campaign: fans executions of `program` out over the
     /// workers until the budget is exhausted (or an early-stop bound
-    /// triggers) and aggregates the streamed per-execution reports.
+    /// triggers) and merges the workers' per-shard aggregates.
     pub fn run<F>(&self, budget: &CampaignBudget, program: F) -> CampaignReport
     where
         F: Fn() + Send + Sync,
@@ -340,6 +347,10 @@ impl Campaign {
     /// fixed-budget range aggregates byte-identically for any worker
     /// count, exactly like [`Campaign::run`] (which is
     /// `run_range(0, …)`).
+    ///
+    /// The caller runs shard 0 and scoped threads run the rest (one
+    /// worker spawns none); each shard aggregates locally, and the
+    /// shards merge once, in shard order, after `join`.
     pub fn run_range<F>(
         &self,
         first_index: u64,
@@ -360,70 +371,61 @@ impl Campaign {
         let stop = AtomicBool::new(false);
         let bug_stop = AtomicBool::new(false);
         let deadline_stop = AtomicBool::new(false);
-        let (tx, rx) = mpsc::channel::<ExecutionReport>();
-        // Diagnostic side channel: one message per worker at loop exit
-        // (two clock reads per worker for the whole campaign — the
-        // telemetry cost model keeps the hot loop untouched).
-        let (mtx, mrx) = mpsc::channel::<WorkerMetrics>();
 
-        let aggregate = std::thread::scope(|scope| {
-            for w in 0..workers {
-                let tx = tx.clone();
-                let mtx = mtx.clone();
-                let config = self.config.clone();
-                let program = &program;
-                let (stop, bug_stop, deadline_stop) = (&stop, &bug_stop, &deadline_stop);
-                let builder = std::thread::Builder::new().name(format!("c11campaign-{w}"));
-                builder
-                    .spawn_scoped(scope, move || {
-                        let busy_start = Instant::now();
-                        let mut completed = 0u64;
-                        let mut model =
-                            Model::for_shard_from(config, first_index + w as u64, workers as u64);
-                        while model.next_execution_index() < end_index
-                            && !stop.load(Ordering::Relaxed)
-                        {
-                            if let Some(deadline) = budget.deadline {
-                                if start.elapsed() >= deadline {
-                                    deadline_stop.store(true, Ordering::Relaxed);
-                                    stop.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                            let report = model.run(program);
-                            let bug = report.found_bug();
-                            if tx.send(report).is_err() {
-                                break;
-                            }
-                            completed += 1;
-                            if bug && budget.stop_on_first_bug {
-                                bug_stop.store(true, Ordering::Relaxed);
-                                stop.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                        let thread_stats = model.thread_stats();
-                        let _ = mtx.send(WorkerMetrics {
-                            worker: w as u64,
-                            executions: completed,
-                            busy_nanos: busy_start.elapsed().as_nanos() as u64,
-                            pooled_dispatches: thread_stats.pooled_dispatches,
-                            fresh_spawns: thread_stats.fresh_spawns,
-                        });
-                    })
-                    .expect("failed to spawn campaign worker");
-            }
-            drop(tx);
-            drop(mtx);
-            // Aggregate on the calling thread while workers stream.
+        // Two clock reads per shard for the whole range feed its
+        // `WorkerMetrics`; the per-execution loop stays untouched.
+        let run_shard = |w: usize| {
+            let busy_start = Instant::now();
             let mut aggregate = TestReport::default();
-            while let Ok(report) = rx.recv() {
+            let mut model =
+                Model::for_shard_from(self.config.clone(), first_index + w as u64, workers as u64);
+            while model.next_execution_index() < end_index && !stop.load(Ordering::Relaxed) {
+                if let Some(deadline) = budget.deadline {
+                    if start.elapsed() >= deadline {
+                        deadline_stop.store(true, Ordering::Relaxed);
+                        stop.store(true, Ordering::Relaxed);
+                        break;
+                    }
+                }
+                let report = model.run(&program);
                 aggregate.absorb(&report);
+                if report.found_bug() && budget.stop_on_first_bug {
+                    bug_stop.store(true, Ordering::Relaxed);
+                    stop.store(true, Ordering::Relaxed);
+                    break;
+                }
             }
-            aggregate
+            let thread_stats = model.thread_stats();
+            let metrics = WorkerMetrics {
+                worker: w as u64,
+                executions: aggregate.executions,
+                busy_nanos: busy_start.elapsed().as_nanos() as u64,
+                pooled_dispatches: thread_stats.pooled_dispatches,
+                fresh_spawns: thread_stats.fresh_spawns,
+            };
+            (aggregate, metrics)
+        };
+
+        let (aggregate, worker_metrics) = std::thread::scope(|scope| {
+            let others: Vec<_> = (1..workers)
+                .map(|w| {
+                    std::thread::Builder::new()
+                        .name(format!("c11campaign-{w}"))
+                        .spawn_scoped(scope, move || run_shard(w))
+                        .expect("failed to spawn campaign worker")
+                })
+                .collect();
+            let (mut aggregate, metrics) = run_shard(0);
+            let mut worker_metrics = vec![metrics];
+            for handle in others {
+                let (shard, metrics) = handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                aggregate.merge(&shard);
+                worker_metrics.push(metrics);
+            }
+            (aggregate, worker_metrics)
         });
-        let mut worker_metrics: Vec<WorkerMetrics> = mrx.iter().collect();
-        worker_metrics.sort_by_key(|m| m.worker);
 
         let stop_reason = if bug_stop.load(Ordering::Relaxed) {
             StopReason::FirstBug

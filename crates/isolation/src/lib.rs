@@ -309,13 +309,7 @@ impl ForkServer {
         budget: &CampaignBudget,
         deadline_at: Option<Instant>,
     ) -> Result<BatchResult, String> {
-        let mut result = BatchResult {
-            aggregate: TestReport::default(),
-            crashes: Vec::new(),
-            stop_reason: StopReason::BudgetExhausted,
-            health: ForkHealth::default(),
-            threads: ThreadSpawnStats::default(),
-        };
+        let mut result = BatchResult::empty();
         let end = start + len;
         let mut cursor = start;
         // Consecutive children that exited (not signal/timeout) without
@@ -410,12 +404,34 @@ enum ChildOutcome {
     DeadlineExpired,
 }
 
+/// What one batch — or, merged, one pool thread's batches — produced.
 struct BatchResult {
     aggregate: TestReport,
     crashes: Vec<CrashRecord>,
     stop_reason: StopReason,
     health: ForkHealth,
     threads: ThreadSpawnStats,
+}
+
+impl BatchResult {
+    fn empty() -> Self {
+        BatchResult {
+            aggregate: TestReport::default(),
+            crashes: Vec::new(),
+            stop_reason: StopReason::BudgetExhausted,
+            health: ForkHealth::default(),
+            threads: ThreadSpawnStats::default(),
+        }
+    }
+
+    /// Merges `other` in; `stop_reason` stays this result's own.
+    fn absorb(&mut self, other: BatchResult) {
+        self.aggregate.merge(&other.aggregate);
+        self.crashes.extend(other.crashes);
+        self.health.absorb(&other.health);
+        self.threads.pooled_dispatches += other.threads.pooled_dispatches;
+        self.threads.fresh_spawns += other.threads.fresh_spawns;
+    }
 }
 
 #[cfg(unix)]
@@ -462,81 +478,63 @@ impl Executor for ForkServer {
         let bug_stop = AtomicBool::new(false);
         let deadline_stop = AtomicBool::new(false);
         let failed = AtomicBool::new(false);
-        let (tx, rx) = mpsc::channel::<Result<BatchResult, String>>();
-        // Diagnostic side channel: one message per pool thread at exit.
-        let (mtx, mrx) = mpsc::channel::<WorkerMetrics>();
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let tx = tx.clone();
-                let mtx = mtx.clone();
-                let queue = &queue;
-                let (bug_stop, deadline_stop, failed) = (&bug_stop, &deadline_stop, &failed);
-                scope.spawn(move || {
-                    let busy_start = Instant::now();
-                    let mut completed = 0u64;
-                    let mut threads = ThreadSpawnStats::default();
-                    loop {
-                        if bug_stop.load(Ordering::Relaxed) || failed.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if let Some(deadline) = budget.deadline {
-                            if start.elapsed() >= deadline {
-                                deadline_stop.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                        let Some((batch_start, len)) =
-                            queue.lock().expect("queue lock").pop_front()
-                        else {
-                            break;
-                        };
-                        let result =
-                            self.run_batch(config, target, batch_start, len, budget, deadline_at);
-                        match &result {
-                            Ok(batch) if batch.stop_reason == StopReason::FirstBug => {
-                                bug_stop.store(true, Ordering::Relaxed);
-                            }
-                            Ok(batch) if batch.stop_reason == StopReason::Deadline => {
-                                deadline_stop.store(true, Ordering::Relaxed);
-                            }
-                            Err(_) => failed.store(true, Ordering::Relaxed),
-                            Ok(_) => {}
-                        }
-                        if let Ok(batch) = &result {
-                            completed += batch.aggregate.executions;
-                            threads.pooled_dispatches += batch.threads.pooled_dispatches;
-                            threads.fresh_spawns += batch.threads.fresh_spawns;
-                        }
-                        if tx.send(result).is_err() {
-                            break;
-                        }
+        // One pool thread: pull batches until the queue drains or a
+        // stop triggers, merging them locally.
+        let run_pool = |w: usize| -> Result<(BatchResult, WorkerMetrics), String> {
+            let busy_start = Instant::now();
+            let mut pool = BatchResult::empty();
+            loop {
+                if bug_stop.load(Ordering::Relaxed) || failed.load(Ordering::Relaxed) {
+                    break;
+                }
+                if let Some(deadline) = budget.deadline {
+                    if start.elapsed() >= deadline {
+                        deadline_stop.store(true, Ordering::Relaxed);
+                        break;
                     }
-                    let _ = mtx.send(WorkerMetrics {
-                        worker: w as u64,
-                        executions: completed,
-                        busy_nanos: busy_start.elapsed().as_nanos() as u64,
-                        pooled_dispatches: threads.pooled_dispatches,
-                        fresh_spawns: threads.fresh_spawns,
-                    });
-                });
+                }
+                let Some((batch_start, len)) = queue.lock().expect("queue lock").pop_front() else {
+                    break;
+                };
+                let batch = self
+                    .run_batch(config, target, batch_start, len, budget, deadline_at)
+                    .inspect_err(|_| failed.store(true, Ordering::Relaxed))?;
+                match batch.stop_reason {
+                    StopReason::FirstBug => bug_stop.store(true, Ordering::Relaxed),
+                    StopReason::Deadline => deadline_stop.store(true, Ordering::Relaxed),
+                    StopReason::BudgetExhausted => {}
+                }
+                pool.absorb(batch);
             }
-            drop(tx);
-            drop(mtx);
-        });
+            let metrics = WorkerMetrics {
+                worker: w as u64,
+                executions: pool.aggregate.executions,
+                busy_nanos: busy_start.elapsed().as_nanos() as u64,
+                pooled_dispatches: pool.threads.pooled_dispatches,
+                fresh_spawns: pool.threads.fresh_spawns,
+            };
+            Ok((pool, metrics))
+        };
 
-        let mut aggregate = TestReport::default();
-        let mut crashes = Vec::new();
-        let mut fork_health = ForkHealth::default();
-        while let Ok(result) = rx.recv() {
-            let batch = result?;
-            aggregate.merge(&batch.aggregate);
-            crashes.extend(batch.crashes);
-            fork_health.absorb(&batch.health);
+        // Each pool thread returns its merged batches and metrics from
+        // `join`; the range merges them once, in pool order.
+        let pools: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| scope.spawn(move || run_pool(w)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        let mut range = BatchResult::empty();
+        let mut worker_metrics = Vec::with_capacity(workers);
+        for pool in pools {
+            let (pool, metrics) = pool?;
+            range.absorb(pool);
+            worker_metrics.push(metrics);
         }
-        crashes.sort_by_key(|c| c.index);
-        let mut worker_metrics: Vec<WorkerMetrics> = mrx.iter().collect();
-        worker_metrics.sort_by_key(|m| m.worker);
+        range.crashes.sort_by_key(|c| c.index);
         let stop_reason = if bug_stop.load(Ordering::Relaxed) {
             StopReason::FirstBug
         } else if deadline_stop.load(Ordering::Relaxed) {
@@ -545,17 +543,17 @@ impl Executor for ForkServer {
             StopReason::BudgetExhausted
         };
         let metrics = CampaignMetrics {
-            phase: aggregate.total_stats.phase,
-            graph: aggregate.total_stats.mograph_perf.to_metrics(),
+            phase: range.aggregate.total_stats.phase,
+            graph: range.aggregate.total_stats.mograph_perf.to_metrics(),
             workers: worker_metrics,
-            fork: fork_health,
-            executions: aggregate.executions,
+            fork: range.health,
+            executions: range.aggregate.executions,
             wall_nanos: start.elapsed().as_nanos() as u64,
             ..CampaignMetrics::default()
         };
         Ok(RangeOutcome {
-            aggregate,
-            crashes,
+            aggregate: range.aggregate,
+            crashes: range.crashes,
             stop_reason,
             metrics,
         })
