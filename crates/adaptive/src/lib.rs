@@ -344,7 +344,7 @@ impl AdaptiveCampaign {
     /// range (`epoch_len`, clipped by the overall budget). The nominal
     /// range — not the completed-execution count — is the bound
     /// because an early-stopped epoch (first bug, deadline) completes
-    /// a strided subset of its range across workers: the flagged
+    /// only the indices its workers had claimed: the flagged
     /// execution's index can exceed the completed count, and replaying
     /// any in-range index is deterministic regardless of whether the
     /// campaign happened to finish it.
@@ -531,7 +531,7 @@ mod tests {
         assert_eq!(report.trace.stop_reason, StopReason::FirstBug);
         assert!(report.aggregate().executions < 1_000);
         assert!(report.aggregate().executions_with_bug > 0);
-        // Even though the early stop completed only a strided subset
+        // Even though the early stop completed only the claimed part
         // of the epoch, the flagged execution replays: the replay
         // bound is the epoch's nominal range, not its completed count.
         let first = report.first_bug_execution().expect("bug found");

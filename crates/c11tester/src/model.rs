@@ -29,9 +29,9 @@ use std::sync::Arc;
 /// alone — so execution `i` under a given [`Config`] is reproducible
 /// regardless of which model instance (or campaign worker) runs it.
 /// [`Model::for_shard`] creates a model that walks the index arithmetic
-/// progression `shard, shard + stride, shard + 2·stride, …`; a campaign
-/// with `N` workers gives worker `w` the shard `(w, N)`, partitioning
-/// the same index set the serial model `(0, 1)` walks.
+/// progression `shard, shard + stride, shard + 2·stride, …`, and
+/// [`Model::run_at`] runs any single index; a campaign's workers claim
+/// indices of one shared range and run each with `run_at`.
 ///
 /// # Examples
 ///
@@ -121,6 +121,23 @@ pub struct ModelParts {
     pub next_execution_index: u64,
     /// The index stride.
     pub stride: u64,
+}
+
+/// The allocation-heavy state of a finished [`Model`]
+/// ([`Model::into_warm_state`]): the recycled execution (arenas,
+/// location table, mo-graph, scratch) and the race detector's shadow
+/// tables. Carries no behavior — [`Model::with_warm_state`] resets it.
+pub struct WarmState {
+    exec: Option<c11tester_core::Execution>,
+    race: RaceDetector,
+}
+
+impl std::fmt::Debug for WarmState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WarmState")
+            .field("recycled_execution", &self.exec.is_some())
+            .finish_non_exhaustive()
+    }
 }
 
 impl std::fmt::Debug for ModelParts {
@@ -240,6 +257,30 @@ impl Model {
             trace_epoch: 0,
             thread_pool,
             fresh_spawns: 0,
+        }
+    }
+
+    /// Seeds this model with the capacity-retaining state another
+    /// model left behind ([`Model::into_warm_state`]): its recycled
+    /// execution and its race detector, [reset](RaceDetector::reset)
+    /// to a new detector's contents. Behaviorally invisible — only the
+    /// provisioning diagnostics (`AllocStats`) see that the first
+    /// execution starts recycled instead of fresh.
+    pub fn with_warm_state(mut self, warm: WarmState) -> Self {
+        let WarmState { exec, mut race } = warm;
+        race.reset();
+        self.race = Some(race);
+        self.exec_pool = exec;
+        self
+    }
+
+    /// Disassembles the model into the state worth recycling into a
+    /// later model ([`Model::with_warm_state`]) — typically the next
+    /// campaign shard on the same OS thread.
+    pub fn into_warm_state(mut self) -> WarmState {
+        WarmState {
+            exec: self.exec_pool.take(),
+            race: self.race.take().expect("race detector present"),
         }
     }
 
@@ -437,12 +478,10 @@ impl Model {
             elided_volatile_races: elided,
             coverage: eng.exec.take_coverage(),
         };
-        // Reclaim the execution state for recycling into the next run
-        // (the placeholder left behind is never driven).
-        self.exec_pool = Some(std::mem::replace(
-            &mut eng.exec,
-            c11tester_core::Execution::new(self.config.policy),
-        ));
+        // Reclaim the execution state for recycling into the next run;
+        // the hollow `Execution::default()` left behind allocates
+        // nothing and is never driven.
+        self.exec_pool = Some(std::mem::take(&mut eng.exec));
         drop(eng);
         self.runs += 1;
         report

@@ -241,26 +241,28 @@ impl TestReport {
         self.races.merge(&other.races);
         self.per_strategy.merge(&other.per_strategy);
         // Merge two index-sorted failure lists, preserving the invariant.
-        let mut merged = Vec::with_capacity(self.failures.len() + other.failures.len());
-        let (mut a, mut b) = (
-            self.failures.iter().peekable(),
-            other.failures.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => {
-                    if x.0 <= y.0 {
-                        merged.push(a.next().expect("peeked").clone());
-                    } else {
-                        merged.push(b.next().expect("peeked").clone());
-                    }
+        // Epoch-by-epoch folds hand over later indices: append those, so
+        // the accumulated list is never copied again.
+        let in_order = match (self.failures.last(), other.failures.first()) {
+            (Some(last), Some(first)) => last.0 <= first.0,
+            _ => true,
+        };
+        if in_order {
+            self.failures.extend_from_slice(&other.failures);
+        } else {
+            let mut mine = std::mem::take(&mut self.failures).into_iter().peekable();
+            let mut theirs = other.failures.iter().peekable();
+            self.failures.reserve(mine.len() + theirs.len());
+            while let (Some(a), Some(b)) = (mine.peek(), theirs.peek()) {
+                if a.0 <= b.0 {
+                    self.failures.extend(mine.next());
+                } else {
+                    self.failures.extend(theirs.next().cloned());
                 }
-                (Some(_), None) => merged.push(a.next().expect("peeked").clone()),
-                (None, Some(_)) => merged.push(b.next().expect("peeked").clone()),
-                (None, None) => break,
             }
+            self.failures.extend(mine);
+            self.failures.extend(theirs.cloned());
         }
-        self.failures = merged;
         self.total_stats.absorb(&other.total_stats);
         self.elided_volatile_races += other.elided_volatile_races;
         self.coverage.merge(&other.coverage);
@@ -411,6 +413,56 @@ mod tests {
             2,
             "x deduped across executions"
         );
+    }
+
+    #[test]
+    fn merging_many_failure_bearing_reports_equals_serial_absorption() {
+        let reports: Vec<ExecutionReport> = (0..200)
+            .map(|ix| {
+                let mut r = empty_exec(ix);
+                if ix % 3 != 1 {
+                    r.failure = Some(Failure::Panic(format!("boom {ix}")));
+                }
+                r
+            })
+            .collect();
+        let mut serial = TestReport::default();
+        for r in &reports {
+            serial.absorb(r);
+        }
+        // Twenty contiguous chunks (epochs) and four strided shards
+        // (interleaved index sets), each folded in order and reversed.
+        let chunked: Vec<TestReport> = reports
+            .chunks(10)
+            .map(|chunk| {
+                let mut part = TestReport::default();
+                chunk.iter().for_each(|r| part.absorb(r));
+                part
+            })
+            .collect();
+        let strided: Vec<TestReport> = (0..4)
+            .map(|w| {
+                let mut part = TestReport::default();
+                reports
+                    .iter()
+                    .skip(w)
+                    .step_by(4)
+                    .for_each(|r| part.absorb(r));
+                part
+            })
+            .collect();
+        for parts in [chunked, strided] {
+            for reversed in [false, true] {
+                let mut merged = TestReport::default();
+                let mut fold = |p: &TestReport| merged.merge(p);
+                if reversed {
+                    parts.iter().rev().for_each(&mut fold);
+                } else {
+                    parts.iter().for_each(&mut fold);
+                }
+                assert_eq!(merged, serial, "reversed: {reversed}");
+            }
+        }
     }
 
     #[test]

@@ -54,9 +54,9 @@ impl EpochRecord {
     /// `start_index` plus the number of executions the epoch
     /// *completed*. For a fixed-budget epoch this is one past its last
     /// global index; an early-stopped epoch (first bug, deadline)
-    /// completes a strided subset across workers, so a flagged index
-    /// may lie at or beyond this bound — use the trace's nominal
-    /// `epoch_len` for the full index range.
+    /// completes only the indices its workers had claimed, so a
+    /// flagged index may lie at or beyond this bound — use the trace's
+    /// nominal `epoch_len` for the full index range.
     pub fn end_index(&self) -> u64 {
         self.start_index + self.aggregate.executions
     }

@@ -9,20 +9,30 @@
 //! OS thread; a [`Campaign`] shards the same logical execution stream
 //! over `N` worker threads:
 //!
-//! * worker `w` owns a [`Model::for_shard`] walking execution indices
-//!   `w, w + N, w + 2N, …` — the built-in strategies derive their
-//!   random stream from `(seed, index)` alone, so **any single
-//!   execution is reproducible by `(seed, execution_index)` regardless
-//!   of worker count** (replay with [`Model::run_at`]);
+//! * the workers of a range claim execution indices from one shared
+//!   cursor, each in ascending order, and run each claimed index with
+//!   [`Model::run_at`] — the built-in strategies derive their random
+//!   stream from `(seed, index)` alone, so **any single execution is
+//!   reproducible by `(seed, execution_index)` regardless of worker
+//!   count or of which worker claimed it**, and a worker that finishes
+//!   early keeps claiming instead of idling;
+//! * the calling thread runs shard 0 and persistent campaign workers
+//!   run the rest (see [`run_shards`]); every thread keeps its last
+//!   shard's recycled execution and race detector warm for the next
+//!   range ([`Model::with_warm_state`]);
 //! * each worker absorbs its own [`c11tester::ExecutionReport`]s into
 //!   a local [`TestReport`] (race dedup histories
 //!   [`c11tester_race::DedupHistory`], summed
 //!   [`c11tester_core::ExecStats`], detection counts), and the calling
-//!   thread — itself shard 0 — merges the shards once, after `join`;
+//!   thread merges the shards once, after every shard returned;
 //! * the resulting [`CampaignReport`] is **byte-identical for any
 //!   worker count** (over a fixed budget), and equal to the serial
 //!   [`Model::run_many`] aggregate — parallelism is a pure speedup,
 //!   never a semantic change.
+//!
+//! [`Model::run_at`]: c11tester::Model::run_at
+//! [`Model::run_many`]: c11tester::Model::run_many
+//! [`Model::with_warm_state`]: c11tester::Model::with_warm_state
 //!
 //! Budgets ([`CampaignBudget`]) bound a campaign by execution count,
 //! wall-clock deadline, or first bug found.
@@ -71,16 +81,18 @@ mod epoch;
 mod exec;
 pub mod forensics;
 mod json;
+mod runner;
 pub mod targets;
 pub mod wire;
 
 pub use epoch::{EpochRecord, EpochTrace};
 pub use exec::{CrashKind, CrashRecord, Executor, InProcess, RangeOutcome};
 pub use forensics::{CaptureSink, ForensicsSummary, Witness};
+pub use runner::run_shards;
 
-use c11tester::{Config, Model, TestReport};
+use c11tester::{Config, TestReport};
 use c11tester_telemetry::{CampaignMetrics, WorkerMetrics};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -150,7 +162,7 @@ impl StopReason {
 /// The aggregated outcome of a campaign.
 ///
 /// `aggregate` carries the memory-model-level result (identical to the
-/// serial [`Model::run_many`] report over the same budget);
+/// serial [`c11tester::Model::run_many`] report over the same budget);
 /// the remaining fields describe the campaign run itself. Timing and
 /// worker count are excluded from [`CampaignReport::canonical_json`] so
 /// the canonical form is byte-identical across worker counts.
@@ -348,9 +360,10 @@ impl Campaign {
     /// count, exactly like [`Campaign::run`] (which is
     /// `run_range(0, …)`).
     ///
-    /// The caller runs shard 0 and scoped threads run the rest (one
-    /// worker spawns none); each shard aggregates locally, and the
-    /// shards merge once, in shard order, after `join`.
+    /// The caller runs shard 0 and persistent campaign workers run the
+    /// rest (one worker uses no other thread); the shards claim the
+    /// range's indices from a shared cursor, each aggregates locally,
+    /// and the shards merge once, in shard order, after all returned.
     pub fn run_range<F>(
         &self,
         first_index: u64,
@@ -361,13 +374,15 @@ impl Campaign {
         F: Fn() + Send + Sync,
     {
         let start = Instant::now();
-        let end_index = first_index.saturating_add(budget.max_executions);
-        // Never spin up more workers than executions: shard `w` of `N`
-        // would walk `first + w, first + w + N, …`, all ≥ end_index.
+        // Offsets into the range, so the cursor cannot wrap even under
+        // `executions(u64::MAX)`.
+        let span = first_index.saturating_add(budget.max_executions) - first_index;
+        // Never start more shards than executions.
         let workers = self
             .workers
-            .min(budget.max_executions.max(1).min(usize::MAX as u64) as usize)
+            .min(span.max(1).min(usize::MAX as u64) as usize)
             .max(1);
+        let cursor = AtomicU64::new(0);
         let stop = AtomicBool::new(false);
         let bug_stop = AtomicBool::new(false);
         let deadline_stop = AtomicBool::new(false);
@@ -377,9 +392,8 @@ impl Campaign {
         let run_shard = |w: usize| {
             let busy_start = Instant::now();
             let mut aggregate = TestReport::default();
-            let mut model =
-                Model::for_shard_from(self.config.clone(), first_index + w as u64, workers as u64);
-            while model.next_execution_index() < end_index && !stop.load(Ordering::Relaxed) {
+            let mut model = runner::warm_model(self.config.clone());
+            while !stop.load(Ordering::Relaxed) {
                 if let Some(deadline) = budget.deadline {
                     if start.elapsed() >= deadline {
                         deadline_stop.store(true, Ordering::Relaxed);
@@ -387,7 +401,13 @@ impl Campaign {
                         break;
                     }
                 }
-                let report = model.run(&program);
+                // Relaxed: the cursor hands out indices and publishes
+                // no other data.
+                let offset = cursor.fetch_add(1, Ordering::Relaxed);
+                if offset >= span {
+                    break;
+                }
+                let report = model.run_at(first_index + offset, &program);
                 aggregate.absorb(&report);
                 if report.found_bug() && budget.stop_on_first_bug {
                     bug_stop.store(true, Ordering::Relaxed);
@@ -396,6 +416,7 @@ impl Campaign {
                 }
             }
             let thread_stats = model.thread_stats();
+            runner::park_model(model);
             let metrics = WorkerMetrics {
                 worker: w as u64,
                 executions: aggregate.executions,
@@ -406,26 +427,13 @@ impl Campaign {
             (aggregate, metrics)
         };
 
-        let (aggregate, worker_metrics) = std::thread::scope(|scope| {
-            let others: Vec<_> = (1..workers)
-                .map(|w| {
-                    std::thread::Builder::new()
-                        .name(format!("c11campaign-{w}"))
-                        .spawn_scoped(scope, move || run_shard(w))
-                        .expect("failed to spawn campaign worker")
-                })
-                .collect();
-            let (mut aggregate, metrics) = run_shard(0);
-            let mut worker_metrics = vec![metrics];
-            for handle in others {
-                let (shard, metrics) = handle
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                aggregate.merge(&shard);
-                worker_metrics.push(metrics);
-            }
-            (aggregate, worker_metrics)
-        });
+        let mut shards = runner::run_shards(workers, run_shard).into_iter();
+        let (mut aggregate, metrics) = shards.next().expect("at least one shard");
+        let mut worker_metrics = vec![metrics];
+        for (shard, metrics) in shards {
+            aggregate.merge(&shard);
+            worker_metrics.push(metrics);
+        }
 
         let stop_reason = if bug_stop.load(Ordering::Relaxed) {
             StopReason::FirstBug
@@ -461,6 +469,7 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use c11tester::Model;
 
     fn racy_program() {
         c11tester_workloads::ds::rwlock_buggy::run_buggy();

@@ -142,6 +142,37 @@ pub struct Execution {
     last_event_tid: ThreadId,
 }
 
+/// The hollow execution: no threads and no allocation. What remains
+/// behind when a finished execution is moved out for recycling
+/// (`std::mem::take`); it is never driven, and [`Execution::new`] /
+/// [`Execution::reset`] are the only ways to a runnable state.
+impl Default for Execution {
+    fn default() -> Self {
+        Execution {
+            policy: Policy::default(),
+            seq: 0,
+            threads: Vec::new(),
+            stores: Vec::new(),
+            loads: Vec::new(),
+            fences: Vec::new(),
+            locations: Vec::new(),
+            graph: MoGraph::new(),
+            free_stores: Vec::new(),
+            free_loads: Vec::new(),
+            next_obj: 0,
+            stats: ExecStats::default(),
+            prune_cfg: PruneConfig::disabled(),
+            pset_buf: Vec::new(),
+            bests_buf: Vec::new(),
+            bests_key: None,
+            wbests_buf: Vec::new(),
+            trace_buf: Vec::new(),
+            coverage: ExecCoverage::default(),
+            last_event_tid: ThreadId::MAIN,
+        }
+    }
+}
+
 impl Execution {
     /// Creates a fresh execution with a single live main thread.
     pub fn new(policy: Policy) -> Self {

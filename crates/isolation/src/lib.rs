@@ -404,7 +404,7 @@ enum ChildOutcome {
     DeadlineExpired,
 }
 
-/// What one batch — or, merged, one pool thread's batches — produced.
+/// What one batch — or, merged, one pool's batches — produced.
 struct BatchResult {
     aggregate: TestReport,
     crashes: Vec<CrashRecord>,
@@ -478,7 +478,7 @@ impl Executor for ForkServer {
         let bug_stop = AtomicBool::new(false);
         let deadline_stop = AtomicBool::new(false);
         let failed = AtomicBool::new(false);
-        // One pool thread: pull batches until the queue drains or a
+        // One pool: pull batches until the queue drains or a
         // stop triggers, merging them locally.
         let run_pool = |w: usize| -> Result<(BatchResult, WorkerMetrics), String> {
             let busy_start = Instant::now();
@@ -516,17 +516,10 @@ impl Executor for ForkServer {
             Ok((pool, metrics))
         };
 
-        // Each pool thread returns its merged batches and metrics from
-        // `join`; the range merges them once, in pool order.
-        let pools: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| scope.spawn(move || run_pool(w)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
+        // Pool 0 runs on the caller and the others on the campaign
+        // workers; each returns its merged batches and metrics, and the
+        // range merges them once, in pool order.
+        let pools = c11tester_campaign::run_shards(workers, run_pool);
         let mut range = BatchResult::empty();
         let mut worker_metrics = Vec::with_capacity(workers);
         for pool in pools {

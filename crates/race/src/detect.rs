@@ -114,6 +114,20 @@ impl RaceDetector {
         self.seen.clear();
     }
 
+    /// Returns the detector to the state [`RaceDetector::new`] creates
+    /// — no location labels, reports, dedup keys, expanded records or
+    /// counters — while keeping every table's capacity, so a detector
+    /// retired by one model can seed another over a different program.
+    /// Shadow words are wiped by the next [`RaceDetector::begin_execution`].
+    pub fn reset(&mut self) {
+        self.expanded.clear();
+        self.meta.clear();
+        self.seen.clear();
+        self.reports.clear();
+        self.elided_volatile = 0;
+        self.checks = 0;
+    }
+
     /// Reads the shadow word of a cell (empty when never touched).
     #[inline]
     fn shadow_word(&self, obj: ObjId, offset: u32) -> u64 {
@@ -481,6 +495,23 @@ mod tests {
         assert!(d.on_write(X, 0, t(1), &cv(&[(1, 2)]), AccessKind::NonAtomic));
         assert_eq!(d.race_count(), 1);
         assert_eq!(d.reports()[0].kind, RaceKind::WriteAfterWrite);
+    }
+
+    #[test]
+    fn reset_forgets_labels_reports_and_counters() {
+        let mut d = RaceDetector::new();
+        d.register(X, "x", true);
+        d.on_write(X, 0, t(0), &cv(&[(0, 1)]), AccessKind::NonAtomic);
+        d.on_write(X, 0, t(1), &cv(&[(1, 2)]), AccessKind::NonAtomic);
+        assert_eq!(d.race_count(), 1);
+        d.reset();
+        assert_eq!((d.race_count(), d.checks, d.elided_volatile), (0, 0, 0));
+        // The volatile registration is gone too: the same conflict is
+        // now a plain race on an unlabeled object.
+        d.begin_execution();
+        d.on_write(X, 0, t(0), &cv(&[(0, 1)]), AccessKind::Volatile);
+        assert!(d.on_write(X, 0, t(1), &cv(&[(1, 2)]), AccessKind::Volatile));
+        assert_eq!(d.reports()[0].label, format!("{X:?}"));
     }
 
     #[test]
